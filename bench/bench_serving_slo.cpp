@@ -40,7 +40,8 @@
 // an untraced re-run of the first scenario produces bitwise identical
 // outputs (observability never steers); replay is deterministic (same
 // trace replayed twice -> byte-identical report JSON) and conserving
-// (replayed rows == engine rows); the serialized v2 trace replays
+// (replayed rows == engine rows, replayed committed tokens == generated
+// tokens, on every device); the serialized v2 trace replays
 // identically to the in-process one; and the OPAL device beats BF16 on
 // energy per token in every scenario under every policy.
 #include <cmath>
@@ -282,6 +283,24 @@ void emit_replay(std::ofstream& json, const ReplayReport& rep,
        << "\n";
 }
 
+/// Replay must commit exactly the tokens the engine generated, on every
+/// device; prints each divergence.
+bool tokens_conserved(const std::string& what,
+                      const std::vector<ReplayReport>& reps,
+                      std::size_t generated) {
+  bool ok = true;
+  for (const ReplayReport& rep : reps) {
+    if (rep.tokens_committed != generated) {
+      std::printf("ERROR: %s / %s replay committed %zu tokens, engine "
+                  "generated %zu\n",
+                  what.c_str(), rep.device.c_str(), rep.tokens_committed,
+                  generated);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 void emit_latency(std::ofstream& json, const char* key,
                   const LatencySummary& l, const char* tail) {
   json << "      \"" << key << "\": {\"count\": " << l.count
@@ -422,6 +441,8 @@ int main(int argc, char** argv) {
                     r.stats.tokens_decoded);
         failed = true;
       }
+      failed |= !tokens_conserved(sc.name + " / " + r.policy, reps,
+                                  r.generated);
       // Determinism + file round-trip: the serialized v2 trace replays to
       // the byte-identical report, twice.
       const StepTrace parsed = parse_step_trace(r.trace_json);
@@ -501,6 +522,8 @@ int main(int argc, char** argv) {
     for (const DeviceConfig& dev : devices) {
       reps.push_back(replay_trace(dev, specrun.trace));
     }
+    failed |= !tokens_conserved(sc.name + " / " + specrun.policy, reps,
+                                specrun.generated);
     hw << "    {\"policy\": \"" << specrun.policy << "\", \"steps\": "
        << reps[0].n_steps << ", \"rows_fed\": " << reps[0].rows_fed
        << ", \"tokens_committed\": " << reps[0].tokens_committed
@@ -576,8 +599,9 @@ int main(int argc, char** argv) {
               "per-policy TTFT/ITL percentiles written to %s\n",
               path.c_str());
   std::printf("PASS: hw replay — deterministic across serialization, row "
-              "accounting conserved, OPAL < BF16 energy/token in every "
-              "scenario under every policy, speculative savings attributed; "
+              "and token accounting conserved, OPAL < BF16 energy/token in "
+              "every scenario under every policy, speculative savings "
+              "attributed; "
               "per-policy attribution written to %s\n",
               hw_path.c_str());
   return 0;

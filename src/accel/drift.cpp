@@ -32,7 +32,7 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 DriftReport audit_drift(const DeviceConfig& device, const StepTrace& trace) {
-  const ModelConfig model = trace.model();
+  const ModelConfig model = traced_model(trace);
   DeviceConfig dev = device;
   if (trace.info.kv_block_size > 0) {
     dev.kv_block_size = trace.info.kv_block_size;

@@ -30,7 +30,8 @@ TraceEventKind pass_kind_from_string(const std::string& kind) {
 
 }  // namespace
 
-ModelConfig StepTrace::model() const {
+ModelConfig traced_model(const StepTrace& trace) {
+  const StepTraceInfo& info = trace.info;
   if (info.n_layers == 0 || info.d_model == 0 || info.n_heads == 0 ||
       info.d_ffn == 0 || info.vocab == 0) {
     throw std::invalid_argument(
@@ -45,53 +46,6 @@ ModelConfig StepTrace::model() const {
   m.d_ffn = info.d_ffn;
   m.vocab = info.vocab;
   return m;
-}
-
-StepTrace step_trace_from_tracer(const Tracer& tracer) {
-  StepTrace trace;
-  trace.info = tracer.step_info();
-  trace.dropped_steps = tracer.dropped_steps();
-  trace.truncated_events = tracer.truncated_events();
-  // Same forward scan as Tracer::write_step_trace: a step's per-sequence
-  // events precede its kStep record in emission order.
-  std::vector<TraceEvent> pending;
-  for (const TraceEvent& e : tracer.events()) {
-    switch (e.kind) {
-      case TraceEventKind::kChunk:
-      case TraceEventKind::kDecode:
-      case TraceEventKind::kSpecBurst:
-      case TraceEventKind::kPrefixHit:
-        pending.push_back(e);
-        break;
-      case TraceEventKind::kStep: {
-        TraceStep step;
-        step.step = e.step;
-        step.batch = static_cast<std::size_t>(e.a);
-        step.rows = static_cast<std::size_t>(e.b);
-        step.dur_us = e.dur_us;
-        for (const TraceEvent& s : pending) {
-          if (s.step != e.step) continue;  // orphan from an evicted step
-          TracePass pass;
-          pass.request = s.request;
-          pass.kind = s.kind;
-          const bool hit = s.kind == TraceEventKind::kPrefixHit;
-          pass.pos = hit ? 0 : static_cast<std::size_t>(s.b);
-          pass.rows = static_cast<std::size_t>(s.a);
-          pass.kv_bytes = hit ? 0 : static_cast<std::size_t>(s.c);
-          if (s.kind == TraceEventKind::kSpecBurst) {
-            pass.committed = static_cast<std::size_t>(s.d);
-          }
-          step.passes.push_back(pass);
-        }
-        pending.clear();
-        trace.steps.push_back(std::move(step));
-        break;
-      }
-      default:
-        break;  // lifecycle events are not replayed
-    }
-  }
-  return trace;
 }
 
 StepTrace parse_step_trace(std::string_view json_text) {
@@ -126,6 +80,8 @@ StepTrace parse_step_trace(std::string_view json_text) {
     step.batch = s.at("batch").as_uint("steps[].batch");
     step.rows = s.at("rows").as_uint("steps[].rows");
     step.dur_us = s.at("dur_us").as_uint("steps[].dur_us");
+    step.blocks_in_use = s.at("blocks_in_use").as_uint("steps[].blocks_in_use");
+    step.blocks_free = s.at("blocks_free").as_uint("steps[].blocks_free");
     const JsonValue& seqs = s.at("seqs");
     if (!seqs.is_array()) {
       throw std::invalid_argument("replay: \"seqs\" must be an array");
@@ -137,9 +93,8 @@ StepTrace parse_step_trace(std::string_view json_text) {
       pass.pos = q.at("pos").as_uint("seqs[].pos");
       pass.rows = q.at("rows").as_uint("seqs[].rows");
       pass.kv_bytes = q.at("kv_bytes").as_uint("seqs[].kv_bytes");
-      if (const JsonValue* committed = q.find("committed")) {
-        pass.committed = committed->as_uint("seqs[].committed");
-      }
+      pass.dur_us = q.at("dur_us").as_uint("seqs[].dur_us");
+      pass.committed = q.at("committed").as_uint("seqs[].committed");
       step.passes.push_back(std::move(pass));
     }
     trace.steps.push_back(std::move(step));
@@ -149,7 +104,7 @@ StepTrace parse_step_trace(std::string_view json_text) {
 
 ReplayReport replay_trace(const DeviceConfig& device,
                           const StepTrace& trace) {
-  const ModelConfig model = trace.model();
+  const ModelConfig model = traced_model(trace);
   // The serving layout decides KV DRAM granularity, not the device preset.
   DeviceConfig dev = device;
   if (trace.info.kv_block_size > 0) {
@@ -214,13 +169,8 @@ ReplayReport replay_trace(const DeviceConfig& device,
       r.rows_fed += pass.rows;
       report.rows_fed += pass.rows;
       report.kv_bytes_written += pass.kv_bytes;
-      const std::size_t committed =
-          pass.kind == TraceEventKind::kSpecBurst ? pass.committed
-                                                  : pass.rows;
-      const std::size_t tokens =
-          pass.kind == TraceEventKind::kChunk ? 0 : committed;
-      r.tokens_committed += tokens;
-      report.tokens_committed += tokens;
+      r.tokens_committed += pass.committed;
+      report.tokens_committed += pass.committed;
     }
 
     ReplayStepSummary summary;

@@ -15,7 +15,10 @@
 //     Wall-clock fields of the trace (dur_us) are deliberately ignored —
 //     replayed latency is DEVICE-model latency, not host latency.
 //   * Conservation: rows_fed equals the sum of trace pass rows, which
-//     equals the producing engine's Stats row accounting;
+//     equals the producing engine's Stats::tokens_decoded;
+//     tokens_committed sums each pass's recorded sampled-token count
+//     (TracePass::committed), which equals the tokens the engine generated
+//     whatever the pass kinds, chunk widths, scheduler or speculation;
 //     kv_bytes_written sums the engine-side KV bytes recorded in the
 //     trace. dram_bytes is the DEVICE-side traffic (weights + KV streams)
 //     and is the replay's own output, not a trace echo.
@@ -23,11 +26,12 @@
 //     the surviving steps) and copies the counter into the report so
 //     consumers can refuse partial attributions.
 //
-// Sources: step_trace_from_tracer() lifts the trace straight out of an
-// in-process Tracer; parse_step_trace() reads an opal.step_trace/v2 JSON
-// file (via common/json.h), which is self-describing — the header carries
-// the model dims and KV layout, so a file replays without the producing
-// process. Both yield the same StepTrace, hence the same report.
+// Sources: step_trace_from_tracer() (common/trace.h) lifts the trace
+// straight out of an in-process Tracer; parse_step_trace() reads an
+// opal.step_trace/v2 JSON file (via common/json.h), which is
+// self-describing — the header carries the model dims and KV layout, so a
+// file replays without the producing process. Both yield the same
+// StepTrace, hence the same report.
 //
 // Attribution (mirrors simulate_step):
 //   * per-sequence attention ops: fully to the owning request;
@@ -53,46 +57,10 @@
 
 namespace opal {
 
-/// One model pass (or prefix-cache restore) of one step, as recorded.
-struct TracePass {
-  std::uint64_t request = 0;
-  /// kChunk | kDecode | kSpecBurst | kPrefixHit.
-  TraceEventKind kind = TraceEventKind::kDecode;
-  std::size_t pos = 0;       // KV length before the pass (0 for prefix_hit)
-  std::size_t rows = 0;      // rows fed; prefix_hit: positions restored
-  std::size_t kv_bytes = 0;  // engine-side KV bytes written by the pass
-  std::size_t committed = 0;  // spec_burst only: rows surviving verify
-};
-
-/// One engine step: its kStep record plus the per-sequence passes grouped
-/// under it.
-struct TraceStep {
-  std::uint64_t step = 0;
-  std::size_t batch = 0;
-  std::size_t rows = 0;  // rows fed, per the kStep record
-  /// Measured host wall time of the step (the kStep record's dur_us).
-  /// Replay itself ignores it per the contract above; the drift auditor
-  /// (accel/drift.h) joins it against the device model's prediction.
-  std::uint64_t dur_us = 0;
-  std::vector<TracePass> passes;
-};
-
-/// A replayable trace: self-description + the surviving steps.
-struct StepTrace {
-  StepTraceInfo info;
-  std::uint64_t dropped_steps = 0;     // kStep records lost to the ring
-  std::uint64_t truncated_events = 0;  // events lost to the ring
-  std::vector<TraceStep> steps;
-
-  /// Rebuilds the producing model's config from the header dims. Throws
-  /// std::invalid_argument when any dim is zero (trace not self-describing
-  /// — its producer never called Tracer::set_step_info).
-  [[nodiscard]] ModelConfig model() const;
-};
-
-/// Lifts the step trace out of an in-process tracer (same grouping as
-/// Tracer::write_step_trace, no serialization round-trip).
-[[nodiscard]] StepTrace step_trace_from_tracer(const Tracer& tracer);
+/// Rebuilds the producing model's config from the trace header's dims.
+/// Throws std::invalid_argument when any dim is zero (trace not
+/// self-describing — its producer never called Tracer::set_step_info).
+[[nodiscard]] ModelConfig traced_model(const StepTrace& trace);
 
 /// Parses an opal.step_trace/v2 JSON document. Throws
 /// std::invalid_argument naming the offending field / position on any
@@ -128,7 +96,7 @@ struct ReplayReport {
   std::string device;
   std::size_t n_steps = 0;
   std::size_t rows_fed = 0;
-  std::size_t tokens_committed = 0;    // decode rows + spec commits
+  std::size_t tokens_committed = 0;    // tokens generated (sampled)
   std::size_t prefix_rows_restored = 0;
   std::size_t kv_bytes_written = 0;    // engine-side, summed from the trace
   std::uint64_t dropped_steps = 0;     // copied from the trace header

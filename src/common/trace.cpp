@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
+#include <utility>
 
 namespace opal {
 
@@ -124,67 +125,90 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
       << ", \"total_emitted\": " << total_ << "}}\n";
 }
 
-void Tracer::write_step_trace(std::ostream& out) const {
-  const std::vector<TraceEvent> all = events();
-  // Self-describing header (schema table in trace.h): the producing model's
-  // dims + KV layout, and the ring-loss counters a replay checks to detect
-  // an incomplete trace.
-  out << "{\"schema\": \"opal.step_trace/v2\",\n"
-      << " \"model\": {\"n_layers\": " << info_.n_layers
-      << ", \"d_model\": " << info_.d_model
-      << ", \"n_heads\": " << info_.n_heads
-      << ", \"d_ffn\": " << info_.d_ffn << ", \"vocab\": " << info_.vocab
-      << "},\n"
-      << " \"kv\": {\"mode\": \"" << info_.kv_mode
-      << "\", \"block_size\": " << info_.kv_block_size
-      << ", \"bits_per_entry\": " << info_.kv_bits_per_entry << "},\n"
-      << " \"dropped_steps\": " << dropped_steps_
-      << ", \"truncated_events\": " << truncated_ << ",\n"
-      << " \"steps\": [";
-  // Per-sequence events of a step precede its kStep record in emission
-  // order, so a single forward scan groups them.
-  std::vector<const TraceEvent*> pending;
-  bool first = true;
-  for (const TraceEvent& e : all) {
+StepTrace step_trace_from_tracer(const Tracer& tracer) {
+  StepTrace trace;
+  trace.info = tracer.step_info();
+  trace.dropped_steps = tracer.dropped_steps();
+  trace.truncated_events = tracer.truncated_events();
+  std::vector<TraceEvent> pending;
+  for (const TraceEvent& e : tracer.events()) {
     switch (e.kind) {
       case TraceEventKind::kChunk:
       case TraceEventKind::kDecode:
       case TraceEventKind::kSpecBurst:
       case TraceEventKind::kPrefixHit:
-        pending.push_back(&e);
+        pending.push_back(e);
         break;
       case TraceEventKind::kStep: {
-        if (!first) out << ",";
-        first = false;
-        out << "\n  {\"step\": " << e.step << ", \"dur_us\": " << e.dur_us
-            << ", \"batch\": " << e.a << ", \"rows\": " << e.b
-            << ", \"blocks_in_use\": " << e.c << ", \"blocks_free\": " << e.d
-            << ", \"seqs\": [";
-        bool seq_first = true;
-        for (const TraceEvent* s : pending) {
-          if (s->step != e.step) continue;  // orphan from an evicted step
-          if (!seq_first) out << ", ";
-          seq_first = false;
+        TraceStep step;
+        step.step = e.step;
+        step.batch = static_cast<std::size_t>(e.a);
+        step.rows = static_cast<std::size_t>(e.b);
+        step.dur_us = e.dur_us;
+        step.blocks_in_use = static_cast<std::size_t>(e.c);
+        step.blocks_free = static_cast<std::size_t>(e.d);
+        for (const TraceEvent& s : pending) {
+          if (s.step != e.step) continue;  // orphan from an evicted step
           // kPrefixHit carries (positions restored, columns) in (a, b) —
-          // normalize it to the seqs schema: rows = restores, pos 0.
-          const bool hit = s->kind == TraceEventKind::kPrefixHit;
-          out << "{\"request\": " << s->request << ", \"kind\": \""
-              << to_string(s->kind) << "\", \"pos\": " << (hit ? 0 : s->b)
-              << ", \"rows\": " << s->a
-              << ", \"kv_bytes\": " << (hit ? 0 : s->c)
-              << ", \"dur_us\": " << s->dur_us;
-          if (s->kind == TraceEventKind::kSpecBurst) {
-            out << ", \"committed\": " << s->d;
-          }
-          out << "}";
+          // normalize it to the pass schema: rows = restores, pos 0.
+          const bool hit = s.kind == TraceEventKind::kPrefixHit;
+          step.passes.push_back(
+              {.request = s.request,
+               .kind = s.kind,
+               .pos = hit ? 0 : static_cast<std::size_t>(s.b),
+               .rows = static_cast<std::size_t>(s.a),
+               .kv_bytes = hit ? 0 : static_cast<std::size_t>(s.c),
+               .dur_us = s.dur_us,
+               .committed = static_cast<std::size_t>(s.d)});
         }
-        out << "]}";
         pending.clear();
+        trace.steps.push_back(std::move(step));
         break;
       }
       default:
-        break;  // lifecycle events are not part of the step replay record
+        break;  // lifecycle events are not part of the step record
     }
+  }
+  return trace;
+}
+
+void Tracer::write_step_trace(std::ostream& out) const {
+  const StepTrace trace = step_trace_from_tracer(*this);
+  const StepTraceInfo& info = trace.info;
+  // Self-describing header (schema table in trace.h): the producing model's
+  // dims + KV layout, and the ring-loss counters a replay checks to detect
+  // an incomplete trace.
+  out << "{\"schema\": \"opal.step_trace/v2\",\n"
+      << " \"model\": {\"n_layers\": " << info.n_layers
+      << ", \"d_model\": " << info.d_model
+      << ", \"n_heads\": " << info.n_heads
+      << ", \"d_ffn\": " << info.d_ffn << ", \"vocab\": " << info.vocab
+      << "},\n"
+      << " \"kv\": {\"mode\": \"" << info.kv_mode
+      << "\", \"block_size\": " << info.kv_block_size
+      << ", \"bits_per_entry\": " << info.kv_bits_per_entry << "},\n"
+      << " \"dropped_steps\": " << trace.dropped_steps
+      << ", \"truncated_events\": " << trace.truncated_events << ",\n"
+      << " \"steps\": [";
+  bool first = true;
+  for (const TraceStep& step : trace.steps) {
+    if (!first) out << ",";
+    first = false;
+    out << "\n  {\"step\": " << step.step << ", \"dur_us\": " << step.dur_us
+        << ", \"batch\": " << step.batch << ", \"rows\": " << step.rows
+        << ", \"blocks_in_use\": " << step.blocks_in_use
+        << ", \"blocks_free\": " << step.blocks_free << ", \"seqs\": [";
+    bool seq_first = true;
+    for (const TracePass& p : step.passes) {
+      if (!seq_first) out << ", ";
+      seq_first = false;
+      out << "{\"request\": " << p.request << ", \"kind\": \""
+          << to_string(p.kind) << "\", \"pos\": " << p.pos
+          << ", \"rows\": " << p.rows << ", \"kv_bytes\": " << p.kv_bytes
+          << ", \"dur_us\": " << p.dur_us << ", \"committed\": " << p.committed
+          << "}";
+    }
+    out << "]}";
   }
   out << "\n]}\n";
 }

@@ -13,16 +13,23 @@
 //                           blocks held / 0                         -
 //   kPrefixHit    request   positions restored / columns / 0 / 0    -
 //   kChunk        request   rows fed / start position / KV bytes
-//                           written / 0                             decode us
-//   kDecode       request   1 / start position / KV bytes / 0       decode us
+//                           written / tokens sampled                decode us
+//   kDecode       request   1 / start position / KV bytes /
+//                           tokens sampled                          decode us
 //   kSpecBurst    request   rows fed / start position / KV bytes /
-//                           rows committed                          verify us
+//                           tokens sampled                          verify us
 //   kBudgetShrink request   budget before / 1 / 0 / 0               -
 //   kPreempt      request   kept positions / fed before / 0 / 0     -
 //   kEvict        request   generated so far / 0 / 0 / 0            -
 //   kFinish       request   generated / finish reason / 0 / 0       -
 //   kStep         engine    batch size / rows fed / blocks in use /
 //                           blocks free                             step us
+//
+// The three model-pass kinds (kChunk: a multi-row pass of known tokens;
+// kDecode: a one-row pass that is not a verify burst; kSpecBurst: a verify
+// burst) all carry in d the tokens that pass generated — 0 for a prompt
+// chunk that stops short of the frontier, 1 for a pass that reached it, and
+// for a verify burst its kept rows, each of which sampled one token.
 //
 // The tracer itself is engine-agnostic: it stores whatever events it is
 // handed. Like MetricsRegistry and KvBlockPool it is not internally
@@ -64,11 +71,13 @@
 //                               SKIPPED, not executed)
 //       kv_bytes                KV bytes written by the pass (0: prefix_hit)
 //       dur_us                  model-pass wall duration (0: prefix_hit)
-//       committed               spec_burst only: rows that survived verify
+//       committed               tokens the pass sampled, on every pass (the
+//                               kind's d; 0 for prefix_hit)
 //
 // A v2 trace with nonzero model dims is self-describing: accel/replay.h
 // parses it back and replays it through the device model without the
-// producing process.
+// producing process. step_trace_from_tracer() is the one scan that groups
+// ring events into steps; write_step_trace serializes what it builds.
 #pragma once
 
 #include <chrono>
@@ -124,6 +133,44 @@ struct StepTraceInfo {
   std::size_t kv_bits_per_entry = 0;
 };
 
+/// One model pass (or prefix-cache restore) of one step, as recorded.
+struct TracePass {
+  std::uint64_t request = 0;
+  /// kChunk | kDecode | kSpecBurst | kPrefixHit.
+  TraceEventKind kind = TraceEventKind::kDecode;
+  std::size_t pos = 0;       // KV length before the pass (0 for prefix_hit)
+  std::size_t rows = 0;      // rows fed; prefix_hit: positions restored
+  std::size_t kv_bytes = 0;  // engine-side KV bytes written by the pass
+  std::uint64_t dur_us = 0;  // model-pass wall duration (0 for prefix_hit)
+  /// Tokens the pass sampled; for a verify burst also the rows that
+  /// survived verify. 0 for prefix_hit.
+  std::size_t committed = 0;
+};
+
+/// One engine step: its kStep record plus the per-sequence passes grouped
+/// under it.
+struct TraceStep {
+  std::uint64_t step = 0;
+  std::size_t batch = 0;
+  std::size_t rows = 0;  // rows fed, per the kStep record
+  /// Measured host wall time of the step (the kStep record's dur_us).
+  /// Replay ignores it; the drift auditor (accel/drift.h) joins it against
+  /// the device model's prediction.
+  std::uint64_t dur_us = 0;
+  std::size_t blocks_in_use = 0;  // pool occupancy after the step
+  std::size_t blocks_free = 0;
+  std::vector<TracePass> passes;
+};
+
+/// A step trace: self-description + the surviving steps (the in-memory
+/// form of the opal.step_trace/v2 schema above).
+struct StepTrace {
+  StepTraceInfo info;
+  std::uint64_t dropped_steps = 0;     // kStep records lost to the ring
+  std::uint64_t truncated_events = 0;  // events lost to the ring
+  std::vector<TraceStep> steps;
+};
+
 class Tracer {
  public:
   /// `enabled || env_enabled()` activates the tracer; capacity is the ring
@@ -173,15 +220,11 @@ class Tracer {
   void write_chrome_trace(std::ostream& out) const;
 
   /// Replayable step-trace JSON (opal.step_trace/v2 — schema table in the
-  /// header comment): a self-describing header (StepTraceInfo dims, KV
-  /// layout, dropped_steps / truncated_events ring-loss counts) followed by
-  /// one record per kStep event holding the step's wall duration, batch
-  /// composition, and the per-sequence kChunk/kDecode/kSpecBurst/kPrefixHit
-  /// events of that step (request, start position, rows, KV bytes touched,
-  /// verify commits, cache restores). Steps whose per-sequence events were
-  /// already overwritten in the ring are emitted with the events that
-  /// survive; steps whose kStep record itself was overwritten are dropped —
-  /// and counted in the header so replays can detect an incomplete trace.
+  /// header comment): step_trace_from_tracer(*this), serialized. A
+  /// self-describing header (StepTraceInfo dims, KV layout, dropped_steps /
+  /// truncated_events ring-loss counts) followed by one record per
+  /// surviving kStep event with its passes (request, start position, rows,
+  /// KV bytes touched, tokens sampled, cache restores).
   void write_step_trace(std::ostream& out) const;
 
  private:
@@ -194,5 +237,11 @@ class Tracer {
   StepTraceInfo info_;
   std::chrono::steady_clock::time_point epoch_;
 };
+
+/// Groups the tracer's surviving events into steps: a step's per-sequence
+/// events precede its kStep record in emission order, so one forward scan
+/// does it. Steps whose kStep record was overwritten are dropped (counted
+/// in dropped_steps); orphaned per-sequence events are discarded.
+[[nodiscard]] StepTrace step_trace_from_tracer(const Tracer& tracer);
 
 }  // namespace opal

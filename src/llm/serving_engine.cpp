@@ -6,6 +6,18 @@
 
 namespace opal {
 
+namespace {
+
+// Logits of row j of a model pass that fed `rows` rows: the chunk buffer's
+// row, or for the last row (the only row of a single-token step) the
+// state's frontier logits — after a chunk, a bitwise copy of that row.
+std::span<const float> row_logits(const SequenceState& state,
+                                  std::size_t rows, std::size_t j) {
+  return j + 1 == rows ? state.logits() : state.chunk_logits_row(j);
+}
+
+}  // namespace
+
 std::string to_string(RequestStatus status) {
   switch (status) {
     case RequestStatus::kQueued:
@@ -87,7 +99,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   em_.finished = &registry_.counter("serving.finished");
   em_.budget_shrinks = &registry_.counter("serving.budget_shrinks");
   em_.tokens_decoded = &registry_.counter("serving.tokens_decoded");
-  em_.tokens_committed = &registry_.counter("serving.tokens_committed");
+  em_.rows_committed = &registry_.counter("serving.rows_committed");
   em_.spec_bursts = &registry_.counter("serving.spec_bursts");
   em_.spec_drafted = &registry_.counter("serving.spec_drafted");
   em_.spec_accepted = &registry_.counter("serving.spec_accepted");
@@ -386,7 +398,6 @@ bool ServingEngine::reclaim_queued_prefix() {
       it->downgraded = true;  // must not hold a re-adoption through failure
       const std::size_t fed_before = it->fed;
       release_sequence_kv(*it);
-      ++stat_preemptions_;
       em_.preemptions->add();
       trace_.emit({.kind = TraceEventKind::kPreempt,
                    .step = step_counter_,
@@ -481,7 +492,6 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
     const std::size_t fed_before = victim.fed;
     release_sequence_kv(victim);
     victim.result.status = RequestStatus::kQueued;
-    ++stat_preemptions_;
     em_.preemptions->add();
     trace_.emit({.kind = TraceEventKind::kPreempt,
                  .step = step_counter_,
@@ -498,7 +508,6 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
   maybe_cache_prefix(seq);
   seq.state.reset();  // unshared blocks return to the pool immediately
   if (status == RequestStatus::kEvicted) {
-    ++stat_evictions_;
     ++prio_stats_[seq.priority].evicted;
     em_.evictions->add();
     trace_.emit({.kind = TraceEventKind::kEvict,
@@ -561,7 +570,6 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
   }
   seq->fed = keep_positions;  // replay the rest on readmission
   seq->result.status = RequestStatus::kQueued;
-  ++stat_preemptions_;
   em_.preemptions->add();
   trace_.emit({.kind = TraceEventKind::kPreempt,
                .step = step_counter_,
@@ -768,8 +776,7 @@ std::size_t ServingEngine::step() {
     const std::size_t n = budgets_[i];
     const bool spec = !seq.spec_drafts.empty() && n > 1;
     fed_pos_[i] = seq.fed;  // first position fed this step
-    stat_tokens_ += n;      // rows executed, including rejected verify rows
-    em_.tokens_decoded->add(n);
+    em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
     rows_fed_total += n;
     auto& prio = prio_stats_[seq.priority];
     if (!seq.wait_counted) {
@@ -779,111 +786,80 @@ std::size_t ServingEngine::step() {
       ++prio.first_decodes;
       em_.queue_wait_ms->observe(to_ms(now_tp - seq.submit_tp));
     }
-    std::size_t committed = n;
+    // Commit walk over the rows this pass fed. Row j's logits are bitwise
+    // what a plain step at that position produces. Row j samples exactly
+    // when its next token is unknown — the frontier row of a pass that
+    // reached it, or each row of a verify burst — through the request's own
+    // sampler, so the RNG stream advances once per generated token, ever
+    // (prompt and replayed rows never draw). The walk goes on past a sampled
+    // row only while the sample equals the next fed token (a verify burst's
+    // draft) and ends at a stop condition or the last row; rows it did not
+    // reach roll back bitwise below. A prompt chunk thus samples only on
+    // its last row, and every committed token IS the non-speculative
+    // stream's token.
+    std::vector<std::size_t>& tokens = seq.result.tokens;
+    std::size_t kept = 0;
+    while (kept < n) {
+      const std::size_t j = kept++;
+      if (seq.fed + j + 1 != tokens.size() ||
+          tokens.size() >= seq.target_len) {
+        continue;  // next token known, or nothing left to generate
+      }
+      const std::size_t next = seq.sampler->sample(
+          row_logits(*seq.state, n, j), tokens, seq.state->sampler_state());
+      tokens.push_back(next);
+      EmittedTok tok;
+      tok.token = next;
+      tok.row = j;
+      tok.speculative = spec;
+      tok.draft_hit = spec && j + 1 < n && next == seq.spec_drafts[j + 1];
+      emitted_[i].push_back(tok);
+      // Stop conditions (eos / stop token / stop sequence / budget). The
+      // final generated token is pure output either way — feeding it would
+      // spend a KV slot and a forward pass on logits nobody reads.
+      seq.result.finish_reason = check_stop(seq.sampling, tokens,
+                                            seq.result.prompt_len,
+                                            seq.target_len);
+      if (seq.result.finish_reason != FinishReason::kNone) {
+        seq.done = true;
+        break;
+      }
+      if (!tok.draft_hit) break;
+    }
+    if (kept < n) {
+      // Rejected suffix of a verify burst: rewind the KV to the kept rows —
+      // bitwise, so the kept prefix stays canonical (prefix-cacheable, and
+      // no non_canonical_from watermark is spent).
+      seq.state->spec_rollback(seq.fed + kept);
+    } else if (spec) {
+      seq.state->end_spec_capture();
+    }
+    seq.fed += kept;
+    // Every known token fed and none sampled: a scoring request is complete.
+    if (seq.fed == tokens.size()) seq.done = true;
     if (spec) {
-      // Verify-commit walk over the burst's per-row logits. Row j's logits
-      // are bitwise what a plain step at that position produces, and the
-      // request's own sampler draws from them exactly as a plain step
-      // would (one draw per generated token — rejected rows are never
-      // sampled from), so every committed token IS the non-speculative
-      // stream's token. The burst continues while the sample matches the
-      // next fed draft; the first mismatch (or stop) ends it and the
-      // unused fed rows roll back bitwise below.
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t next =
-            seq.sampler->sample(seq.state->chunk_logits_row(j),
-                                seq.result.tokens,
-                                seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
-        EmittedTok tok;
-        tok.token = next;
-        tok.row = j;
-        tok.speculative = true;
-        tok.draft_hit = j + 1 < n && next == seq.spec_drafts[j + 1];
-        emitted_[i].push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        if (seq.result.finish_reason != FinishReason::kNone) {
-          seq.done = true;
-          break;
-        }
-        if (!tok.draft_hit) break;
-      }
-      committed = emitted_[i].size();
-      if (committed < n) {
-        // Rejected suffix: rewind the KV to the committed rows — bitwise,
-        // so the kept prefix stays canonical (prefix-cacheable, and no
-        // non_canonical_from watermark is spent).
-        seq.state->spec_rollback(seq.fed + committed);
-      } else {
-        seq.state->end_spec_capture();
-      }
-      seq.fed += committed;  // tokens.size() - 1: the frontier invariant
-      ++stat_spec_bursts_;
-      stat_spec_drafted_ += n - 1;
-      stat_spec_accepted_ += committed - 1;
-      stat_spec_rejected_ += n - committed;
       em_.spec_bursts->add();
       em_.spec_drafted->add(n - 1);
-      em_.spec_accepted->add(committed - 1);
-      em_.spec_rejected->add(n - committed);
-      seq.drafter->observe(seq.result.tokens, committed - 1);
-    } else {
-      const std::span<const float> logits = seq.state->logits();
-      seq.fed += n;
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() < seq.target_len) {
-        // Frontier: every known token is fed, so these logits (after a
-        // chunk, the chunk-final position's) extend the stream through the
-        // request's sampler. Replay never re-enters here for a token that
-        // already exists, so the RNG stream advances once per generated
-        // token, ever.
-        const std::size_t next = seq.sampler->sample(
-            logits, seq.result.tokens, seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
-        EmittedTok tok;
-        tok.token = next;  // row kNoRow: sampled from state->logits()
-        emitted_[i].push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        // Stop conditions (eos / stop token / stop sequence / budget). The
-        // final generated token is pure output either way — feeding it
-        // would spend a KV slot and a forward pass on logits nobody reads.
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        seq.done = seq.result.finish_reason != FinishReason::kNone;
-      }
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() >= seq.target_len) {
-        seq.done = true;  // scoring request: every prompt token has been fed
-      }
+      em_.spec_accepted->add(kept - 1);
+      em_.spec_rejected->add(n - kept);
+      seq.drafter->observe(tokens, kept - 1);
     }
-    // Served accounting is charged with tokens actually committed — a
-    // fair-share policy must not bill a request for rejected rows it never
-    // kept (committed == n on every non-speculative path).
-    seq.tokens_served += committed;
-    prio.tokens_served += committed;
-    em_.tokens_committed->add(committed);
-    scheduler_->on_served(seq.id, committed);
-    // Wall-clock latency per sampled token: TTFT on the request's first
-    // generated token, ITL between consecutive ones. Tokens of one verify
-    // burst share the step's timestamp, so intra-burst ITL is ~0 — the
-    // stream really does arrive in bursts.
+    // Served accounting is charged with rows actually kept — a fair-share
+    // policy must not bill a request for rejected rows it never kept.
+    seq.tokens_served += kept;
+    prio.tokens_served += kept;
+    em_.rows_committed->add(kept);
+    scheduler_->on_served(seq.id, kept);
+    // Latency per sampled token: TTFT (in steps and wall-clock) on the
+    // request's first generated token, ITL between consecutive ones. Tokens
+    // of one verify burst share the step's timestamp, so intra-burst ITL is
+    // ~0 — the stream really does arrive in bursts.
     for (std::size_t j = 0; j < emitted_[i].size(); ++j) {
       if (!seq.has_token) {
         seq.has_token = true;
+        prio.ttft_steps +=
+            static_cast<std::size_t>(step_counter_ - seq.submit_step);
+        ++prio.first_tokens;
         em_.ttft_ms->observe(to_ms(now_tp - seq.submit_tp));
       } else {
         em_.itl_ms->observe(to_ms(now_tp - seq.last_token_tp));
@@ -891,17 +867,13 @@ std::size_t ServingEngine::step() {
       seq.last_token_tp = now_tp;
     }
     // Per-slot model-pass cost, from the parallel phase's scratch.
-    const double pass_ms = static_cast<double>(decode_dur_us_[i]) / 1000.0;
-    if (spec) {
-      em_.spec_verify_ms->observe(pass_ms);
-    } else if (n > 1) {
-      em_.prefill_chunk_ms->observe(pass_ms);
-    } else {
-      em_.decode_ms->observe(pass_ms);
-    }
-    trace_.emit({.kind = spec ? TraceEventKind::kSpecBurst
-                              : (n > 1 ? TraceEventKind::kChunk
-                                       : TraceEventKind::kDecode),
+    const bool chunk = !spec && n > 1;
+    (spec ? em_.spec_verify_ms
+          : chunk ? em_.prefill_chunk_ms : em_.decode_ms)
+        ->observe(static_cast<double>(decode_dur_us_[i]) / 1000.0);
+    trace_.emit({.kind = spec    ? TraceEventKind::kSpecBurst
+                         : chunk ? TraceEventKind::kChunk
+                                 : TraceEventKind::kDecode,
                  .ts_us = decode_end_us_[i],
                  .dur_us = decode_dur_us_[i],
                  .step = step_counter_,
@@ -909,7 +881,7 @@ std::size_t ServingEngine::step() {
                  .a = n,
                  .b = fed_pos_[i],
                  .c = n * kv_row_bytes_,
-                 .d = spec ? committed : 0});
+                 .d = emitted_[i].size()});
   }
 
   // Observer pass: sequence states (and their logits buffers) are all still
@@ -920,18 +892,14 @@ std::size_t ServingEngine::step() {
   if (observer_ || token_observer_ || logprob_observer_) {
     for (std::size_t i = 0; i < decoded; ++i) {
       const Sequence& seq = batch_[i];
+      const std::size_t n = budgets_[i];
       // Rows that survived the step: the full budget on every plain path,
       // only the committed prefix of a speculative burst — rejected rows'
       // positions no longer exist, and a baseline run never fed them.
       const std::size_t rows = seq.fed - fed_pos_[i];
       if (observer_) {
-        if (budgets_[i] == 1) {
-          observer_(seq.id, fed_pos_[i], seq.state->logits());
-        } else {
-          for (std::size_t j = 0; j < rows; ++j) {
-            observer_(seq.id, fed_pos_[i] + j,
-                      seq.state->chunk_logits_row(j));
-          }
+        for (std::size_t j = 0; j < rows; ++j) {
+          observer_(seq.id, fed_pos_[i] + j, row_logits(*seq.state, n, j));
         }
       }
       // Streamed tokens follow their positions' logits, in generation
@@ -947,13 +915,10 @@ std::size_t ServingEngine::step() {
           token_observer_(seq.id, gen_index, tok.token, reason);
         }
         if (logprob_observer_) {
-          const std::span<const float> row_logits =
-              tok.row == EmittedTok::kNoRow ? seq.state->logits()
-                                            : seq.state->chunk_logits_row(
-                                                  tok.row);
           TokenLogprobInfo info;
           info.token = tok.token;
-          info.logprob = token_logprob(row_logits, tok.token);
+          info.logprob =
+              token_logprob(row_logits(*seq.state, n, tok.row), tok.token);
           info.speculative = tok.speculative;
           info.draft_hit = tok.draft_hit;
           logprob_observer_(seq.id, gen_index, info);
@@ -1005,14 +970,14 @@ ServingEngine::Stats ServingEngine::stats() const {
   s.blocks_reclaimable = kv_pool_->reclaimable_blocks();
   s.running = batch_.size();
   s.queued = queue_.size();
-  s.evictions = stat_evictions_;
-  s.preemptions = stat_preemptions_;
-  s.tokens_decoded = stat_tokens_;
-  s.steps = static_cast<std::size_t>(step_counter_);
-  s.spec_bursts = stat_spec_bursts_;
-  s.spec_drafted = stat_spec_drafted_;
-  s.spec_accepted = stat_spec_accepted_;
-  s.spec_rejected = stat_spec_rejected_;
+  s.evictions = em_.evictions->value();
+  s.preemptions = em_.preemptions->value();
+  s.tokens_decoded = em_.tokens_decoded->value();
+  s.steps = em_.steps->value();
+  s.spec_bursts = em_.spec_bursts->value();
+  s.spec_drafted = em_.spec_drafted->value();
+  s.spec_accepted = em_.spec_accepted->value();
+  s.spec_rejected = em_.spec_rejected->value();
   if (prefix_cache_ != nullptr) {
     const auto p = prefix_cache_->stats();
     s.prefix_hits = p.hits;

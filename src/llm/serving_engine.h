@@ -137,11 +137,12 @@
 // snapshots the whole serving stack at once. The registry holds two kinds
 // of series:
 //   * deterministic counters (serving.steps / tokens_decoded /
-//     tokens_committed / admissions / preemptions / evictions / finished /
-//     stalls / budget_shrinks / spec_*) that exactly mirror the
-//     corresponding Stats fields — same increments, same call sites — plus
-//     the subsystems' own counters (prefix_cache.*, kv_pool.*,
-//     scheduler.*, drafter.*);
+//     rows_committed / admissions / preemptions / evictions / finished /
+//     stalls / budget_shrinks / spec_*) — the one store of those counts:
+//     stats() reads its Stats fields from them — plus the subsystems' own
+//     counters (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*).
+//     rows_committed counts kept fed rows, prompt rows included; generated
+//     tokens are what each model-pass trace event carries in d;
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
@@ -437,7 +438,7 @@ class ServingEngine {
   [[nodiscard]] Stats stats() const;
 
   /// Point-in-time snapshot of the engine's metrics registry: the
-  /// deterministic counters mirroring Stats, the wall-clock latency
+  /// deterministic counters Stats reads, the wall-clock latency
   /// histograms (p50/p95/p99), and the bound subsystem metrics
   /// (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*) — see the
   /// Observability block in the header comment. Serial-phase only, like
@@ -567,7 +568,6 @@ class ServingEngine {
     std::size_t tokens_served = 0;  // cumulative decodes (incl. replays)
     std::uint64_t submit_step = 0;  // step counter at submit()
     bool wait_counted = false;      // queue-wait stat recorded
-    bool ttft_counted = false;      // first-token stat recorded
     // Completion is recorded here (not in step-local state) so that an
     // observer throwing on the finishing step cannot strand a completed
     // sequence in the batch and have the next step feed past tokens.end().
@@ -610,22 +610,20 @@ class ServingEngine {
     // Wall-clock observability (never read by any control path): when the
     // request was submitted, and when its latest sampled token was
     // produced — the anchors for the queue-wait/TTFT/ITL histograms. The
-    // step-denominated counterparts above (submit_step, wait_counted,
-    // ttft_counted) stay deterministic.
+    // step-denominated counterparts (submit_step, wait_counted, and the
+    // first-token stat recorded with has_token) stay deterministic.
     std::chrono::steady_clock::time_point submit_tp{};
     std::chrono::steady_clock::time_point last_token_tp{};
-    bool has_token = false;  // last_token_tp is valid
+    bool has_token = false;  // a token was sampled; last_token_tp is valid
     std::unique_ptr<SequenceState> state;  // kept across preemption
   };
 
   /// One sampled token of the current step (per-step scratch): enough to
-  /// replay the observer cadence after bookkeeping — which logits row
-  /// produced it (kNoRow: the sequence's frontier logits buffer) and its
-  /// speculative provenance.
+  /// replay the observer cadence after bookkeeping — the pass row whose
+  /// logits produced it and its speculative provenance.
   struct EmittedTok {
-    static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
     std::size_t token = 0;
-    std::size_t row = kNoRow;  // chunk logits row, kNoRow = state->logits()
+    std::size_t row = 0;
     bool speculative = false;
     bool draft_hit = false;
   };
@@ -672,7 +670,7 @@ class ServingEngine {
     Counter* finished = nullptr;
     Counter* budget_shrinks = nullptr;
     Counter* tokens_decoded = nullptr;
-    Counter* tokens_committed = nullptr;
+    Counter* rows_committed = nullptr;
     Counter* spec_bursts = nullptr;
     Counter* spec_drafted = nullptr;
     Counter* spec_accepted = nullptr;
@@ -728,13 +726,6 @@ class ServingEngine {
   TokenLogprobObserver logprob_observer_;
   RequestId next_id_ = 1;
   std::uint64_t step_counter_ = 0;
-  std::size_t stat_evictions_ = 0;
-  std::size_t stat_preemptions_ = 0;
-  std::size_t stat_tokens_ = 0;
-  std::size_t stat_spec_bursts_ = 0;
-  std::size_t stat_spec_drafted_ = 0;
-  std::size_t stat_spec_accepted_ = 0;
-  std::size_t stat_spec_rejected_ = 0;
 };
 
 }  // namespace opal

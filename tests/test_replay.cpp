@@ -254,6 +254,58 @@ TEST(Replay, OpalDeviceBeatsBf16EnergyPerToken) {
   EXPECT_LT(opal.dram_bytes, bf16.dram_bytes);
 }
 
+TEST(Replay, CommittedTokensEqualGeneratedUnderEverySchedule) {
+  // Each pass records the tokens it sampled, so replay counts exactly the
+  // generated tokens whatever shape the passes took: one-row prompt feeds,
+  // prompt chunks ending on the frontier, priority trickles, fair-share
+  // slices and verify bursts.
+  struct Schedule {
+    const char* name;
+    ServingConfig cfg;
+  };
+  std::vector<Schedule> schedules;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{4}}) {
+    ServingConfig cfg;
+    cfg.max_batch = 3;
+    cfg.prefill_chunk_tokens = chunk;
+    schedules.push_back({chunk == 1 ? "fifo chunk 1" : "fifo chunk 4", cfg});
+  }
+  ServingConfig priority = stressed_config();
+  priority.scheduler = std::make_shared<PriorityScheduler>();
+  schedules.push_back({"priority", priority});
+  ServingConfig fair = stressed_config();
+  fair.scheduler = std::make_shared<FairShareScheduler>();
+  schedules.push_back({"fair-share", fair});
+  ServingConfig spec;
+  spec.max_batch = 2;
+  spec.speculative.policy = DraftPolicy::kRepeat;
+  spec.speculative.draft_tokens = 3;
+  schedules.push_back({"repeat drafter", spec});
+
+  for (Schedule& s : schedules) {
+    s.cfg.trace = true;
+    ServingEngine engine(prepared(), s.cfg);
+    std::vector<RequestId> ids;
+    int priority_class = 0;
+    for (Request req : workload()) {
+      req.priority = priority_class++ % 2;  // priority: half trickle
+      ids.push_back(engine.submit(std::move(req)));
+    }
+    engine.run();
+    std::size_t generated = 0;
+    for (const RequestId id : ids) generated += engine.result(id).generated();
+    ASSERT_GT(generated, 0u) << s.name;
+    const StepTrace trace = step_trace_from_tracer(engine.tracer());
+    ASSERT_EQ(trace.dropped_steps, 0u) << s.name;
+    for (const DeviceConfig& dev : all_devices()) {
+      const ReplayReport rep = replay_trace(dev, trace);
+      EXPECT_EQ(rep.tokens_committed, generated) << s.name << " " << dev.name;
+      EXPECT_EQ(rep.rows_fed, engine.stats().tokens_decoded)
+          << s.name << " " << dev.name;
+    }
+  }
+}
+
 // --- malformed traces --------------------------------------------------
 
 TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
