@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <tuple>
 
 namespace opal {
 
@@ -21,168 +22,70 @@ thread_local KernelProfile* t_slot = nullptr;
           .count());
 }
 
-inline void record(KernelKind kind, std::uint64_t elems, std::uint64_t ns) {
-  KernelStat& stat = t_slot->kernels[static_cast<std::size_t>(kind)];
-  stat.calls += 1;
-  stat.elems += elems;
-  stat.ns += ns;
-}
+// Records one kernel call on this thread's bound slot, timed from
+// construction to destruction.
+class Timed {
+ public:
+  Timed(KernelKind kind, std::uint64_t elems) : kind_(kind), elems_(elems) {}
+  Timed(const Timed&) = delete;
+  Timed& operator=(const Timed&) = delete;
+  ~Timed() {
+    KernelStat& stat = t_slot->kernels[static_cast<std::size_t>(kind_)];
+    stat.calls += 1;
+    stat.elems += elems_;
+    stat.ns += now_ns() - t0_;
+  }
+
+ private:
+  KernelKind kind_;
+  std::uint64_t elems_;
+  std::uint64_t t0_ = now_ns();
+};
 
 // --- wrapper table ----------------------------------------------------------
-// Each entry delegates to g_underlying with unchanged arguments (so the
-// arithmetic — and therefore the output bits — is exactly the underlying
-// table's) and, when this thread has a bound slot, times the call. With no
-// slot bound the clock is never read.
+// Every entry delegates to g_underlying->*Entry with unchanged arguments (so
+// the arithmetic — and therefore the output bits — is exactly the underlying
+// table's). With no slot bound on this thread it calls straight through and
+// never reads the clock; otherwise it times the call and records it under
+// `Kind`, counting the product of the size arguments at positions `Sizes`
+// as the call's elements.
 
-float prof_dot(const float* a, const float* b, std::size_t n) {
-  if (t_slot == nullptr) return g_underlying->dot(a, b, n);
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dot(a, b, n);
-  record(KernelKind::kDot, n, now_ns() - t0);
-  return r;
+template <auto Entry, KernelKind Kind, std::size_t... Sizes, class R,
+          class... Args>
+constexpr auto wrapper_for(R (*KernelOps::*)(Args...)) -> R (*)(Args...) {
+  return [](Args... args) -> R {
+    if (t_slot == nullptr) return (g_underlying->*Entry)(args...);
+    const auto arg = std::tie(args...);
+    const Timed timed(Kind, (std::uint64_t{1} * ... * std::get<Sizes>(arg)));
+    return (g_underlying->*Entry)(args...);
+  };
 }
 
-void prof_matvec(const float* w, std::size_t rows, std::size_t cols,
-                 const float* x, float* y) {
-  if (t_slot == nullptr) return g_underlying->matvec(w, rows, cols, x, y);
-  const std::uint64_t t0 = now_ns();
-  g_underlying->matvec(w, rows, cols, x, y);
-  record(KernelKind::kMatvec, rows * cols, now_ns() - t0);
-}
-
-void prof_matvec_transposed(const float* w, std::size_t rows, std::size_t cols,
-                            const float* x, float* y) {
-  if (t_slot == nullptr) {
-    return g_underlying->matvec_transposed(w, rows, cols, x, y);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->matvec_transposed(w, rows, cols, x, y);
-  record(KernelKind::kMatvecTransposed, rows * cols, now_ns() - t0);
-}
-
-void prof_axpy(float a, const float* x, float* y, std::size_t n) {
-  if (t_slot == nullptr) return g_underlying->axpy(a, x, y, n);
-  const std::uint64_t t0 = now_ns();
-  g_underlying->axpy(a, x, y, n);
-  record(KernelKind::kAxpy, n, now_ns() - t0);
-}
-
-void prof_scale(float s, float* x, std::size_t n) {
-  if (t_slot == nullptr) return g_underlying->scale(s, x, n);
-  const std::uint64_t t0 = now_ns();
-  g_underlying->scale(s, x, n);
-  record(KernelKind::kScale, n, now_ns() - t0);
-}
-
-void prof_attend_scores(const float* q, const float* k, std::size_t rows,
-                        std::size_t stride, std::size_t d_head, float scale,
-                        float* out) {
-  if (t_slot == nullptr) {
-    return g_underlying->attend_scores(q, k, rows, stride, d_head, scale, out);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->attend_scores(q, k, rows, stride, d_head, scale, out);
-  record(KernelKind::kAttendScores, rows * d_head, now_ns() - t0);
-}
-
-void prof_attend_accum(const float* w, const float* v, std::size_t rows,
-                       std::size_t stride, std::size_t d_head, float* z) {
-  if (t_slot == nullptr) {
-    return g_underlying->attend_accum(w, v, rows, stride, d_head, z);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->attend_accum(w, v, rows, stride, d_head, z);
-  record(KernelKind::kAttendAccum, rows * d_head, now_ns() - t0);
-}
-
-float prof_dequant_dot_int8(const float* a, const std::int8_t* codes,
-                            std::size_t n, float s) {
-  if (t_slot == nullptr) return g_underlying->dequant_dot_int8(a, codes, n, s);
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dequant_dot_int8(a, codes, n, s);
-  record(KernelKind::kDequantDotInt8, n, now_ns() - t0);
-  return r;
-}
-
-float prof_dequant_dot_log2(const float* a, const std::int8_t* codes,
-                            std::size_t n, int exponent) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_dot_log2(a, codes, n, exponent);
-  }
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dequant_dot_log2(a, codes, n, exponent);
-  record(KernelKind::kDequantDotLog2, n, now_ns() - t0);
-  return r;
-}
-
-void prof_dequant_scores_int8(const float* q, const std::int8_t* k_codes,
-                              std::size_t rows, std::size_t stride,
-                              std::size_t d_head, float s, float scale,
-                              float* out) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_scores_int8(q, k_codes, rows, stride, d_head,
-                                             s, scale, out);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->dequant_scores_int8(q, k_codes, rows, stride, d_head, s, scale,
-                                    out);
-  record(KernelKind::kDequantScoresInt8, rows * d_head, now_ns() - t0);
-}
-
-void prof_dequant_scores_log2(const float* q, const std::int8_t* k_codes,
-                              std::size_t rows, std::size_t stride,
-                              std::size_t d_head, int exponent, float scale,
-                              float* out) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_scores_log2(q, k_codes, rows, stride, d_head,
-                                             exponent, scale, out);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->dequant_scores_log2(q, k_codes, rows, stride, d_head, exponent,
-                                    scale, out);
-  record(KernelKind::kDequantScoresLog2, rows * d_head, now_ns() - t0);
-}
-
-void prof_dequant_accum_int8(const float* w, const std::int8_t* v_codes,
-                             std::size_t rows, std::size_t stride,
-                             std::size_t d_head, float s, float* z) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_accum_int8(w, v_codes, rows, stride, d_head,
-                                            s, z);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->dequant_accum_int8(w, v_codes, rows, stride, d_head, s, z);
-  record(KernelKind::kDequantAccumInt8, rows * d_head, now_ns() - t0);
-}
-
-void prof_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
-                             std::size_t rows, std::size_t stride,
-                             std::size_t d_head, int exponent, float* z) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_accum_log2(w, v_codes, rows, stride, d_head,
-                                            exponent, z);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->dequant_accum_log2(w, v_codes, rows, stride, d_head, exponent,
-                                   z);
-  record(KernelKind::kDequantAccumLog2, rows * d_head, now_ns() - t0);
+template <auto Entry, KernelKind Kind, std::size_t... Sizes>
+constexpr auto profiled() {
+  return wrapper_for<Entry, Kind, Sizes...>(Entry);
 }
 
 constexpr KernelOps kProfiledOps = {
     "profiled",
-    prof_dot,
-    prof_matvec,
-    prof_matvec_transposed,
-    prof_axpy,
-    prof_scale,
-    prof_attend_scores,
-    prof_attend_accum,
-    prof_dequant_dot_int8,
-    prof_dequant_dot_log2,
-    prof_dequant_scores_int8,
-    prof_dequant_scores_log2,
-    prof_dequant_accum_int8,
-    prof_dequant_accum_log2,
+    profiled<&KernelOps::dot, KernelKind::kDot, 2>(),
+    profiled<&KernelOps::matvec, KernelKind::kMatvec, 1, 2>(),
+    profiled<&KernelOps::matvec_transposed, KernelKind::kMatvecTransposed, 1,
+             2>(),
+    profiled<&KernelOps::axpy, KernelKind::kAxpy, 3>(),
+    profiled<&KernelOps::scale, KernelKind::kScale, 2>(),
+    profiled<&KernelOps::attend_scores, KernelKind::kAttendScores, 2, 4>(),
+    profiled<&KernelOps::attend_accum, KernelKind::kAttendAccum, 2, 4>(),
+    profiled<&KernelOps::dequant_dot_int8, KernelKind::kDequantDotInt8, 2>(),
+    profiled<&KernelOps::dequant_dot_log2, KernelKind::kDequantDotLog2, 2>(),
+    profiled<&KernelOps::dequant_scores_int8, KernelKind::kDequantScoresInt8, 2,
+             4>(),
+    profiled<&KernelOps::dequant_scores_log2, KernelKind::kDequantScoresLog2, 2,
+             4>(),
+    profiled<&KernelOps::dequant_accum_int8, KernelKind::kDequantAccumInt8, 2,
+             4>(),
+    profiled<&KernelOps::dequant_accum_log2, KernelKind::kDequantAccumLog2, 2,
+             4>(),
 };
 
 }  // namespace

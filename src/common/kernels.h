@@ -21,35 +21,51 @@
 //
 // ## Numerical contract (the bitwise-reference guarantee)
 //
-// * The scalar table is the reference. kernels.cpp is compiled with
-//   -ffp-contract=off, so its arithmetic is exactly the source-order IEEE
-//   sequence written there — same pattern as the forced-gather vs zero-copy
-//   attend reference in sequence_state.h.
-// * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
-//   reduction order of dot products), and every table is deterministic: the
-//   same inputs through the same table give the same bits, every time.
+// * Every table is built by make_table<Isa>() in kernel_shapes.h from two
+//   loop shapes written once: a dot shape (dot, matvec, attend_scores,
+//   dequant dot and scores) and an axpy shape (axpy, matvec_transposed,
+//   attend_accum, dequant accum), each templated over an element decoder
+//   (fp32 load, int8 code * s, log2 kv_decode_log2). scale is a plain
+//   elementwise multiply next to them.
+// * The scalar table is the reference. Its shapes are the sequential loops,
+//   and kernels.cpp is compiled with -ffp-contract=off, so its arithmetic is
+//   exactly that source-order IEEE sequence — same pattern as the
+//   forced-gather vs zero-copy attend reference in sequence_state.h.
+// * SIMD tables run an 8-wide body and then the same sequential loop over
+//   the n % 8 tail. They are *tolerance*-equal to scalar (vector lanes change
+//   the reduction order of dot products, and the axpy body fuses its
+//   multiply-add), and every table is deterministic: the same inputs through
+//   the same table give the same bits, every time.
 // * Dot products accumulate in double (both scalar and SIMD), preserving the
 //   precision contract of opal::dot.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
-//   kv_decode_log2 below), and accumulate them with exactly the same
-//   structure as the corresponding non-fused kernel of the same table. Hence
-//   within ANY single table, the fused quantized attend path is bitwise
-//   identical to gather-into-scratch-then-dot — fusion removes the fp32
-//   scratch materialization, never a bit of the result.
+//   kv_decode_log2 below) and run the very shape their plain twin runs. So
+//   within ANY single table the fused quantized attend path is bitwise
+//   identical to gather-into-scratch-then-plain by construction — fusion
+//   removes the fp32 scratch materialization, never a bit of the result.
+// * Scalar and AVX2 output bits are pinned by golden hashes in
+//   tests/test_kernels.cpp. NEON's fp32 axpy, matvec_transposed and
+//   attend_accum once ran a 4-wide body beside the 8-wide fused accum
+//   kernels; on the shared 8-wide body their bits changed where n % 8 is 4
+//   to 7, and fused == plain now holds there too.
 //
 // ## Adding an ISA variant
 //
-// 1. Add src/common/kernels_<isa>.cpp defining every KernelOps entry with
-//    the table-local accumulation structure mirrored between fused and
-//    non-fused kernels (vector body + sequential scalar tail), guarded by
-//    the architecture's predefine (e.g. #if defined(__riscv_vector)).
-// 2. Give the TU its ISA flags + -ffp-contract=off in CMakeLists.txt, keyed
-//    on CMAKE_SYSTEM_PROCESSOR, and declare its
-//    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
-//    chain (return nullptr when the running CPU lacks the extension).
-// 3. tests/test_kernels.cpp and bench/bench_kernels.cpp pick the new table
-//    up automatically through kernels().
+// 1. Add src/common/kernels_<isa>.cpp, guarded by the architecture's
+//    predefine (e.g. #if defined(__riscv_vector)), holding one shim struct
+//    in an anonymous namespace: kName, kSimd = true, and the primitives
+//    listed in kernel_shapes.h (8-float load/store/broadcast/fma/mul, the
+//    double-accumulating dacc8 + hsum, and decode8 for each element
+//    decoder). `make_table<Shim>()` builds every KernelOps entry from it.
+// 2. Add a probe `const KernelOps* opal_<isa>_kernels()` returning the table
+//    (nullptr when the running CPU lacks the extension) and declare it in
+//    kernels.cpp's resolve chain.
+// 3. Give the TU its ISA flags + -ffp-contract=off in CMakeLists.txt (and
+//    servebench/CMakeLists.txt), keyed by file name and CMAKE_SYSTEM_PROCESSOR.
+// 4. tests/test_kernels.cpp and bench/bench_kernels.cpp pick the new table
+//    up automatically through kernels(); record its golden hashes in
+//    tests/test_kernels.cpp once its bits are settled.
 #pragma once
 
 #include <cmath>

@@ -5,7 +5,9 @@
 //    tails;
 //  * fused dequantize-dot kernels are BITWISE equal to decode-into-scratch
 //    then plain-kernel, within each table — the guarantee the quantized
-//    attend path builds on;
+//    attend path builds on — swept over every n % 8 and strided rows;
+//  * every entry of the scalar and AVX2 tables reproduces recorded golden
+//    output bits;
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
@@ -16,11 +18,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/kernel_profiler.h"
 #include "eval/schemes.h"
 #include "llm/serving_engine.h"
 
@@ -58,9 +66,10 @@ std::vector<std::int8_t> rand_codes(std::size_t n, bool log2_mode) {
 }
 
 // Lengths exercising the 8-wide vector body, the scalar tail (1..7), and
-// both at once.
-const std::size_t kLengths[] = {1, 2, 3, 5, 7, 8, 9, 13, 16,
-                                17, 24, 31, 33, 64, 100, 257};
+// both at once, including every n % 8 from 4 to 7 (where an 8-wide body and
+// a 4-wide body would split the same elements differently).
+const std::size_t kLengths[] = {1,  2,  3,  4,  5,  7,  8,  9,  12, 13, 16,
+                                17, 19, 20, 24, 28, 31, 33, 64, 100, 257};
 
 class KernelDispatch : public ::testing::Test {
  protected:
@@ -190,6 +199,10 @@ TEST(KernelsSimd, AttendPrimitivesMatchScalar) {
 
 // --- fused == decode-then-plain, bitwise, per table -------------------------
 
+// Head sizes for the strided sweep: every n % 8 from 4 to 7, plus short,
+// exact-multiple and tail-only shapes.
+const std::size_t kHeadSizes[] = {3, 4, 8, 12, 13, 19, 20, 28, 64};
+
 void check_fused_bitwise(const KernelOps& ops) {
   for (const std::size_t n : kLengths) {
     const auto a = rand_vec(n);
@@ -213,48 +226,58 @@ void check_fused_bitwise(const KernelOps& ops) {
               ops.dot(a.data(), dec.data(), n))
         << ops.name << " log2 n=" << n;
   }
-  // Strided score/accum forms, d_head with a tail.
-  const std::size_t rows = 7, stride = 24, d_head = 19;
-  const auto q = rand_vec(d_head);
-  const auto w = rand_vec(rows);
-  const auto k8 = rand_codes(rows * stride, false);
-  const auto klg = rand_codes(rows * stride, true);
-  const float s = 0.004f;
-  const int exponent = -2;
-  std::vector<float> kdec(rows * stride), got(rows), want(rows);
 
-  for (std::size_t i = 0; i < kdec.size(); ++i) {
-    kdec[i] = static_cast<float>(k8[i]) * s;
+  // Strided score/accum forms over rows 0, 1 and 7 with stride > d_head.
+  for (const std::size_t d_head : kHeadSizes) {
+    for (const std::size_t rows : {0u, 1u, 7u}) {
+      const std::size_t stride = d_head + 5;
+      const std::size_t len = rows * stride;
+      const auto q = rand_vec(d_head);
+      const auto w = rand_vec(rows);
+      const auto k8 = rand_codes(len, false);
+      const auto klg = rand_codes(len, true);
+      const auto z0 = rand_vec(d_head);
+      const float s = 0.004f;
+      const int exponent = -2;
+      const std::string where = std::string(ops.name) +
+                                " d_head=" + std::to_string(d_head) +
+                                " rows=" + std::to_string(rows);
+      std::vector<float> kdec(len), got(rows), want(rows);
+
+      for (std::size_t i = 0; i < len; ++i) {
+        kdec[i] = static_cast<float>(k8[i]) * s;
+      }
+      ops.dequant_scores_int8(q.data(), k8.data(), rows, stride, d_head, s,
+                              0.5f, got.data());
+      ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
+                        want.data());
+      EXPECT_EQ(got, want) << where << " dequant_scores_int8";
+
+      auto z_got = z0, z_want = z0;
+      ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, d_head, s,
+                             z_got.data());
+      ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
+                       z_want.data());
+      EXPECT_EQ(z_got, z_want) << where << " dequant_accum_int8";
+
+      for (std::size_t i = 0; i < len; ++i) {
+        kdec[i] = kv_decode_log2(klg[i], exponent);
+      }
+      ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
+                              exponent, 0.5f, got.data());
+      ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
+                        want.data());
+      EXPECT_EQ(got, want) << where << " dequant_scores_log2";
+
+      z_got = z0;
+      z_want = z0;
+      ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
+                             exponent, z_got.data());
+      ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
+                       z_want.data());
+      EXPECT_EQ(z_got, z_want) << where << " dequant_accum_log2";
+    }
   }
-  ops.dequant_scores_int8(q.data(), k8.data(), rows, stride, d_head, s, 0.5f,
-                          got.data());
-  ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
-                    want.data());
-  EXPECT_EQ(got, want) << ops.name << " dequant_scores_int8";
-
-  std::vector<float> z_got(d_head, 0.0f), z_want(d_head, 0.0f);
-  ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, d_head, s,
-                         z_got.data());
-  ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
-                   z_want.data());
-  EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_int8";
-
-  for (std::size_t i = 0; i < kdec.size(); ++i) {
-    kdec[i] = kv_decode_log2(klg[i], exponent);
-  }
-  ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
-                          exponent, 0.5f, got.data());
-  ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
-                    want.data());
-  EXPECT_EQ(got, want) << ops.name << " dequant_scores_log2";
-
-  std::fill(z_got.begin(), z_got.end(), 0.0f);
-  std::fill(z_want.begin(), z_want.end(), 0.0f);
-  ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
-                         exponent, z_got.data());
-  ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
-                   z_want.data());
-  EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_log2";
 }
 
 TEST(KernelsFused, ScalarFusedEqualsGatherThenDotBitwise) {
@@ -302,6 +325,194 @@ TEST(KernelsFused, SimdInt8DecodeExactForAllCodes) {
       EXPECT_EQ(got, want) << "code=" << c << " s=" << s;
     }
   }
+}
+
+// --- golden bits: every entry of the x86 tables -----------------------------
+// Fixed seeded inputs run through every kernel entry of a table (indexed by
+// KernelKind, which lists them in KernelOps order); each entry's
+// output bits are hashed with FNV-1a and compared against hashes recorded
+// before the kernel bodies were shared between tables. Tolerance tests cannot
+// show that a rewrite left every bit as it was; these hashes can.
+
+struct GoldenTable {
+  const char* table;
+  std::uint64_t hash[kKernelKindCount];
+};
+
+// Recorded per table; a table without a row here (neon) is skipped.
+constexpr GoldenTable kGolden[] = {
+    {"scalar",
+     {0x86615d0f0ddbbd4aull, 0xa0bb7a284f40833full, 0x218bbb0985710135ull,
+      0xaf7a18bd3e0c33c7ull, 0x111e3168e9e972e4ull, 0x51b9b597910f443bull,
+      0xd3d44ef98c7cfc88ull, 0xa52921902818ef41ull, 0xab485373dac6c925ull,
+      0x918a37d79cd7f29eull, 0x98d542803df0c36dull, 0x7c47aa56b5a47498ull,
+      0x5a3fd79a6de0b361ull}},
+    {"avx2",
+     {0x62a7e9de0922511aull, 0x578affe45b30fc91ull, 0x170919b9e32eff88ull,
+      0x181c38d3d768e46eull, 0x3401c7ec23f7b327ull, 0x8dbb8070ae0e0a74ull,
+      0xab2598beb26e6a15ull, 0xee08380a374f0b39ull, 0x032e464d899ba499ull,
+      0x10cb710115669639ull, 0xc74953c32bbf4dcdull, 0x6478623bc343afe7ull,
+      0x5a3fd79a6de0b361ull}},
+};
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(float v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 4; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  void add(const std::vector<float>& v) {
+    for (const float x : v) add(x);
+  }
+};
+
+using Hashes = std::array<std::uint64_t, kKernelKindCount>;
+
+Hashes golden_hashes(const KernelOps& ops) {
+  // A private generator: the hashes must not depend on test order.
+  std::uint64_t state = 0x0123456789abcdefull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  // Magnitudes spread over 2^-24..2^24, so double sums round.
+  const auto floats = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (auto& x : v) {
+      const float m =
+          static_cast<float>(next() & 0xffffff) / 0x1000000p0f * 2.0f - 1.0f;
+      x = std::ldexp(m, static_cast<int>(next() % 49) - 24);
+    }
+    return v;
+  };
+  const auto codes = [&](std::size_t n, bool log2_mode) {
+    std::vector<std::int8_t> v(n);
+    for (auto& c : v) {
+      const int byte = static_cast<int>(next() & 0xff);
+      c = static_cast<std::int8_t>(log2_mode ? byte
+                                             : std::max(byte - 128, -127));
+    }
+    return v;
+  };
+  // Mirrored halves, v[n-1-i] = flip(v[i]), against a symmetric operand make
+  // each dot nearly cancel: what is left is rounding that depends on the
+  // summation order, so a changed reduction shows in the float result.
+  const auto mirror = [](auto* v, std::size_t n, auto flip) {
+    for (std::size_t i = 0; i < n / 2; ++i) v[n - 1 - i] = flip(v[i]);
+  };
+  const auto same = [](float v) { return v; };
+  const auto neg = [](float v) { return -v; };
+  const auto neg_i8 = [](std::int8_t c) {
+    return static_cast<std::int8_t>(-c);
+  };
+  const auto neg_log2 = [](std::int8_t c) {
+    return static_cast<std::int8_t>(c ^ kKvLog2SignBit);
+  };
+  std::array<Fnv1a, kKernelKindCount> h{};
+  const auto of = [&h](KernelKind kind) -> Fnv1a& {
+    return h[static_cast<std::size_t>(kind)];
+  };
+  using K = KernelKind;
+  const float s = 0.0173f;
+
+  for (const std::size_t n : {1u, 7u, 8u, 13u, 20u, 37u, 64u, 100u}) {
+    auto a = floats(n), b = floats(n);
+    auto i8 = codes(n, false), lg = codes(n, true);
+    mirror(a.data(), n, same);
+    mirror(b.data(), n, neg);
+    mirror(i8.data(), n, neg_i8);
+    mirror(lg.data(), n, neg_log2);
+    of(K::kDot).add(ops.dot(a.data(), b.data(), n));
+    of(K::kDequantDotInt8).add(ops.dequant_dot_int8(a.data(), i8.data(), n, s));
+    for (const int e : {-20, 4}) {
+      of(K::kDequantDotLog2)
+          .add(ops.dequant_dot_log2(a.data(), lg.data(), n, e));
+    }
+    auto y = b;
+    ops.axpy(0.37f, a.data(), y.data(), n);
+    of(K::kAxpy).add(y);
+    ops.scale(1.73f, y.data(), n);
+    of(K::kScale).add(y);
+  }
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{5, 13},
+                                  {16, 37}, {3, 64}, {9, 20}}) {
+    auto w = floats(rows * cols), x = floats(cols);
+    const auto xt = floats(rows);
+    mirror(x.data(), cols, same);
+    for (std::size_t r = 0; r < rows; r += 2) mirror(&w[r * cols], cols, neg);
+    std::vector<float> y(rows), yt(cols);
+    ops.matvec(w.data(), rows, cols, x.data(), y.data());
+    ops.matvec_transposed(w.data(), rows, cols, xt.data(), yt.data());
+    of(K::kMatvec).add(y);
+    of(K::kMatvecTransposed).add(yt);
+  }
+  for (const std::size_t d_head : {13u, 20u, 64u}) {
+    for (const std::size_t rows : {1u, 7u}) {
+      const std::size_t stride = d_head + 3, len = rows * stride;
+      auto q = floats(d_head), kv = floats(len);
+      const auto w = floats(rows), z0 = floats(d_head);
+      auto k8 = codes(len, false), klg = codes(len, true);
+      mirror(q.data(), d_head, same);
+      for (std::size_t r = 0; r < rows; r += 2) {
+        mirror(&kv[r * stride], d_head, neg);
+        mirror(&k8[r * stride], d_head, neg_i8);
+        mirror(&klg[r * stride], d_head, neg_log2);
+      }
+      std::vector<float> out(rows);
+      ops.attend_scores(q.data(), kv.data(), rows, stride, d_head, 0.125f,
+                        out.data());
+      of(K::kAttendScores).add(out);
+      ops.dequant_scores_int8(q.data(), k8.data(), rows, stride, d_head, s,
+                              0.125f, out.data());
+      of(K::kDequantScoresInt8).add(out);
+      auto z = z0;
+      ops.attend_accum(w.data(), kv.data(), rows, stride, d_head, z.data());
+      of(K::kAttendAccum).add(z);
+      z = z0;
+      ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, d_head, s,
+                             z.data());
+      of(K::kDequantAccumInt8).add(z);
+      for (const int e : {-20, 4}) {
+        ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head, e,
+                                0.125f, out.data());
+        of(K::kDequantScoresLog2).add(out);
+        z = z0;
+        ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head, e,
+                               z.data());
+        of(K::kDequantAccumLog2).add(z);
+      }
+    }
+  }
+  Hashes out{};
+  for (std::size_t i = 0; i < kKernelKindCount; ++i) out[i] = h[i].h;
+  return out;
+}
+
+void check_golden_bits(const KernelOps& ops) {
+  const GoldenTable* golden = nullptr;
+  for (const GoldenTable& g : kGolden) {
+    if (std::string(g.table) == ops.name) golden = &g;
+  }
+  if (golden == nullptr) GTEST_SKIP() << "no golden hashes for " << ops.name;
+  const auto got = golden_hashes(ops);
+  for (std::size_t i = 0; i < kKernelKindCount; ++i) {
+    EXPECT_EQ(got[i], golden->hash[i])
+        << ops.name << "." << to_string(static_cast<KernelKind>(i))
+        << " hash 0x" << std::hex << got[i];
+  }
+}
+
+TEST(KernelsGolden, ScalarBitsUnchanged) {
+  check_golden_bits(scalar_kernels());
+}
+
+TEST(KernelsGolden, SimdBitsUnchanged) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  check_golden_bits(*simd);
 }
 
 // --- end-to-end -------------------------------------------------------------
